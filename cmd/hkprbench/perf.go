@@ -97,21 +97,6 @@ type perfPoint struct {
 	DegradedRate float64 `json:"degraded_serve_rate,omitempty"`
 	P99Ns        int64   `json:"p99_ns,omitempty"`
 	MaxPressure  string  `json:"max_pressure,omitempty"`
-	// Router-entry extras (BENCH_router.json): the replica tier's routing tax
-	// and fault-recovery trajectory.  NsPerOp holds the routed cache-hit
-	// latency; DirectNsPerOp the same query against a bare engine, so
-	// RouterOverheadNs = routed − direct is the per-query cost of the ring
-	// walk, health filtering and hedging machinery.  FailoverRecoveryNs is
-	// crash-to-first-successful-answer on a seed the crashed replica owned;
-	// RestabilizeNs is restart-to-routing-reconverged (the health loop
-	// re-promoting the owner).  Hedged and PeerFills echo the router counters
-	// so the entry proves both paths actually engaged.
-	DirectNsPerOp      int64 `json:"direct_ns_per_op,omitempty"`
-	RouterOverheadNs   int64 `json:"router_overhead_ns,omitempty"`
-	FailoverRecoveryNs int64 `json:"failover_recovery_ns,omitempty"`
-	RestabilizeNs      int64 `json:"restabilize_ns,omitempty"`
-	Hedged             int64 `json:"hedged,omitempty"`
-	PeerFills          int64 `json:"peer_fills,omitempty"`
 }
 
 // perfReport is the BENCH_<name>.json payload.
@@ -329,33 +314,6 @@ func runPerf(cfg perfConfig) error {
 		return err
 	}
 
-	// The router entry measures the replica tier: routed-vs-direct cache-hit
-	// overhead, crash-to-answer failover recovery, and restart-to-reconverged
-	// restabilization on a 3-replica router over the same graph.
-	routerPoint, err := perfMeasureRouter(g, opts)
-	if err != nil {
-		return fmt.Errorf("perf router: %w", err)
-	}
-	routerRep := perfReport{
-		Name:       "router",
-		Graph:      fmt.Sprintf("plc-n%d-m%d", cfg.nodes, cfg.edgesPer),
-		Nodes:      g.N(),
-		Edges:      g.M(),
-		Options:    fmt.Sprintf("t=%g eps=%g delta=%.3g method=tea replicas=3 routed-vs-direct", opts.T, opts.EpsRel, opts.Delta),
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		Timestamp:  time.Now().UTC().Format(time.RFC3339),
-		Points:     []perfPoint{routerPoint},
-	}
-	if cfg.log != nil {
-		fmt.Fprintf(cfg.log, "perf %-8s routed %.1fµs/op  direct %.1fµs/op  overhead %.1fµs  failover %.2fms  restabilize %.2fms  hedged %d  peer-fills %d\n",
-			"router", float64(routerPoint.NsPerOp)/1e3, float64(routerPoint.DirectNsPerOp)/1e3,
-			float64(routerPoint.RouterOverheadNs)/1e3, float64(routerPoint.FailoverRecoveryNs)/1e6,
-			float64(routerPoint.RestabilizeNs)/1e6, routerPoint.Hedged, routerPoint.PeerFills)
-	}
-	if err := finish(routerRep); err != nil {
-		return err
-	}
-
 	if len(regressions) > 0 {
 		for _, r := range regressions {
 			fmt.Fprintln(os.Stderr, "perf regression:", r)
@@ -364,20 +322,6 @@ func runPerf(cfg perfConfig) error {
 	}
 	return nil
 }
-
-// routerOverheadFactor / routerOverheadFloorNs gate the routed-vs-direct
-// cache-hit overhead against baseline: the tax of the ring walk and hedging
-// machinery is a few microseconds, so only a growth beyond the factor AND the
-// absolute floor (well above scheduler jitter on a shared CI box) fails.
-const routerOverheadFactor = 5.0
-const routerOverheadFloorNs = 200_000 // 200µs
-
-// routerRecoveryFactor / routerRecoveryFloorNs bound failover recovery and
-// routing restabilization against baseline — loose, to catch a collapse (a
-// recovery that waits out a full health interval instead of failing over
-// inline), not jitter.
-const routerRecoveryFactor = 5.0
-const routerRecoveryFloorNs = 250_000_000 // 250ms
 
 // soakShedRateSlack is the absolute shed-rate growth tolerated against the
 // committed soak baseline before the gate fails: outcome rates vary with
@@ -474,35 +418,6 @@ func checkPerfBaseline(dir string, rep perfReport) error {
 			if b.P99Ns > 0 && p.P99Ns > int64(float64(b.P99Ns)*soakP99Factor) {
 				return fmt.Errorf("soak: saturated p99 %.2fms exceeds %gx baseline %.2fms",
 					float64(p.P99Ns)/1e6, soakP99Factor, float64(b.P99Ns)/1e6)
-			}
-		}
-		// Router-entry gates: the routing tax and the fault-recovery times
-		// must not collapse, and the paths the entry exists to prove (hedging,
-		// peer fills) must keep engaging.
-		if rep.Name == "router" {
-			if b.RouterOverheadNs > 0 && p.RouterOverheadNs > int64(float64(b.RouterOverheadNs)*routerOverheadFactor) &&
-				p.RouterOverheadNs-b.RouterOverheadNs > routerOverheadFloorNs {
-				return fmt.Errorf("router: overhead %.1fµs exceeds %gx baseline %.1fµs",
-					float64(p.RouterOverheadNs)/1e3, routerOverheadFactor, float64(b.RouterOverheadNs)/1e3)
-			}
-			for _, rec := range []struct {
-				label     string
-				base, cur int64
-			}{
-				{"failover_recovery_ns", b.FailoverRecoveryNs, p.FailoverRecoveryNs},
-				{"restabilize_ns", b.RestabilizeNs, p.RestabilizeNs},
-			} {
-				if rec.base > 0 && rec.cur > int64(float64(rec.base)*routerRecoveryFactor) &&
-					rec.cur-rec.base > routerRecoveryFloorNs {
-					return fmt.Errorf("router: %s %.2fms exceeds %gx baseline %.2fms",
-						rec.label, float64(rec.cur)/1e6, routerRecoveryFactor, float64(rec.base)/1e6)
-				}
-			}
-			if b.Hedged > 0 && p.Hedged == 0 {
-				return fmt.Errorf("router: hedging went inert (baseline hedged %d, fresh 0)", b.Hedged)
-			}
-			if b.PeerFills > 0 && p.PeerFills == 0 {
-				return fmt.Errorf("router: peer cache fills went inert (baseline %d, fresh 0)", b.PeerFills)
 			}
 		}
 	}

@@ -15,9 +15,9 @@
 // base CSR plus the delta overlay, bit-identical to a from-scratch rebuild
 // of the updated edge set.
 //
-// With -server the query goes to a running hkprserver (or hkprrouter) over
-// HTTP instead of loading a graph locally.  -server takes a comma-separated
-// endpoint list: a 5xx response or a connection failure fails the query over
+// With -server the query goes to one or more running hkprserver processes
+// over HTTP instead of loading a graph locally.  -server takes a
+// comma-separated endpoint list: a 5xx response or a connection failure fails the query over
 // to the next endpoint immediately, sticking with whichever endpoint last
 // answered.  Only when every endpoint is unavailable does the client back off
 // with jittered exponential delay — honoring the smallest Retry-After drain
@@ -87,7 +87,7 @@ func run(args []string, out io.Writer) error {
 		topK      = fs.Int("top", 20, "print at most this many cluster members")
 		updates   = fs.String("updates", "", "edge-list delta applied before querying: 'u v' or '+ u v' adds an edge, '- u v' (or 'del u v') removes one")
 
-		server    = fs.String("server", "", "query running hkprserver/hkprrouter endpoints (comma-separated base URLs; 5xx or connection failures fail over to the next) instead of loading a graph locally")
+		server    = fs.String("server", "", "query running hkprserver endpoints (comma-separated base URLs; 5xx or connection failures fail over to the next) instead of loading a graph locally")
 		retries   = fs.Int("retries", 4, "with -server: retry passes over the endpoint list per seed after every endpoint shed or failed")
 		retryBase = fs.Duration("retry-base", 100*time.Millisecond, "with -server: initial backoff delay, doubled (with jitter) per retry")
 		retryMax  = fs.Duration("retry-max", 5*time.Second, "with -server: cap on any single backoff delay, including the server's Retry-After hint")

@@ -16,8 +16,8 @@ import (
 )
 
 // remoteConfig is the -server client mode: instead of loading a graph
-// locally, each seed is queried against a running hkprserver's (or
-// hkprrouter's) /cluster endpoint with bounded retry.  -server accepts a
+// locally, each seed is queried against a running hkprserver's /cluster
+// endpoint with bounded retry.  -server accepts a
 // comma-separated endpoint list: a 5xx response or a transport failure
 // (connection refused among them) fails the query over to the next endpoint
 // immediately, and only when every endpoint is unavailable does the client

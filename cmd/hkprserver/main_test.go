@@ -6,8 +6,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -564,4 +567,118 @@ func TestOverloadRetryAfterHeader(t *testing.T) {
 	}
 	unstick.Do(func() { close(release) })
 	wg.Wait()
+}
+
+// TestTwoServersBitIdentical is the cross-process determinism check: two
+// servers, each loading the same edge-list file on its own and run with
+// different worker counts and per-query parallelism, must answer the same
+// /cluster requests with bit-identical clusters, conductances and top-k
+// scores, before and after the same POST /update.  This is what lets N
+// hkprserver processes behind `hkprquery -server a,b,c` fail over without
+// any reconciliation.
+func TestTwoServersBitIdentical(t *testing.T) {
+	g, err := hkpr.GeneratePLC(600, 4, 0.3, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "g.edges")
+	if err := hkpr.SaveEdgeListFile(path, g); err != nil {
+		t.Fatal(err)
+	}
+	start := func(workers, parallelism int) string {
+		lg, err := hkpr.LoadEdgeListFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The same wrapping and estimator options as run() with default flags.
+		dyn := hkpr.NewDynamic(lg, hkpr.DynamicOptions{})
+		srv, err := newServer(dyn, hkpr.Options{T: 5, EpsRel: 0.5, FailureProb: 1e-6},
+			hkpr.EngineConfig{Workers: workers, Parallelism: parallelism})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { srv.engine.Close() })
+		ts := httptest.NewServer(srv.routes())
+		t.Cleanup(ts.Close)
+		return ts.URL
+	}
+	servers := []string{start(1, 1), start(2, 4)}
+
+	get := func(base, query string) clusterResponse {
+		t.Helper()
+		resp, err := http.Get(base + "/cluster?" + query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			body, _ := io.ReadAll(resp.Body)
+			t.Fatalf("%s: status %d: %s", query, resp.StatusCode, body)
+		}
+		var cr clusterResponse
+		if err := json.NewDecoder(resp.Body).Decode(&cr); err != nil {
+			t.Fatal(err)
+		}
+		return cr
+	}
+	// nocache=1 makes every answer a fresh computation at the current epoch.
+	queries := []string{
+		"seed=3&topk=20&nocache=1",
+		"seed=3&method=tea&topk=20&nocache=1",
+		"seed=250&topk=20&nocache=1",
+		"seed=250&method=tea&topk=20&nocache=1",
+	}
+	compare := func(epoch uint64) {
+		t.Helper()
+		var walks int64
+		for _, q := range queries {
+			a, b := get(servers[0], q), get(servers[1], q)
+			if a.Epoch != epoch || b.Epoch != epoch {
+				t.Fatalf("%s: epochs %d and %d, want %d", q, a.Epoch, b.Epoch, epoch)
+			}
+			if a.Parallelism == b.Parallelism {
+				t.Fatalf("%s: both servers ran at parallelism %d; the check needs them to differ", q, a.Parallelism)
+			}
+			if !slices.Equal(a.Cluster, b.Cluster) {
+				t.Fatalf("%s: clusters differ:\n%v\n%v", q, a.Cluster, b.Cluster)
+			}
+			if math.Float64bits(a.Conductance) != math.Float64bits(b.Conductance) {
+				t.Fatalf("%s: conductance %v vs %v", q, a.Conductance, b.Conductance)
+			}
+			if len(a.Scores) == 0 || len(a.Scores) != len(b.Scores) {
+				t.Fatalf("%s: top-k lengths %d and %d", q, len(a.Scores), len(b.Scores))
+			}
+			for i := range a.Scores {
+				if a.Scores[i].Node != b.Scores[i].Node ||
+					math.Float64bits(a.Scores[i].Score) != math.Float64bits(b.Scores[i].Score) {
+					t.Fatalf("%s: top-k entry %d differs: %+v vs %+v", q, i, a.Scores[i], b.Scores[i])
+				}
+			}
+			walks += a.Walks
+		}
+		if walks == 0 {
+			t.Fatal("no query ran random walks; the check never covered the seeded walk phase")
+		}
+	}
+	compare(0)
+
+	for _, base := range servers {
+		resp, err := http.Post(base+"/update", "application/json",
+			strings.NewReader(`{"add_nodes":1,"add_edges":[[600,3],[600,250]]}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var res struct {
+			Epoch uint64 `json:"epoch"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&res)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("update on %s: status %d, err %v", base, resp.StatusCode, err)
+		}
+		if res.Epoch != 1 {
+			t.Fatalf("update on %s published epoch %d, want 1", base, res.Epoch)
+		}
+	}
+	compare(1)
 }

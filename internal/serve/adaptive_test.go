@@ -6,7 +6,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"hkpr/internal/core"
 	"hkpr/internal/graph"
@@ -36,14 +35,14 @@ func TestAdaptiveParallelismIdleVsSaturated(t *testing.T) {
 	// Saturated queue: hold the worker at the execution gate, pile queries
 	// into the admission queue, then release.  Every query that executes
 	// while the queue is deep must degrade to P=1.
-	release := make(chan struct{})
+	gate, release := gateExecutions(t)
 	entered := make(chan struct{}, 16)
 	e.execGate = func(*Request) {
 		select {
 		case entered <- struct{}{}:
 		default:
 		}
-		<-release
+		<-gate
 	}
 	const queued = 12
 	var wg sync.WaitGroup
@@ -60,15 +59,8 @@ func TestAdaptiveParallelismIdleVsSaturated(t *testing.T) {
 		}(i)
 	}
 	<-entered
-	deadline := time.After(5 * time.Second)
-	for len(e.queue) < queued-1 {
-		select {
-		case <-deadline:
-			t.Fatalf("queue never filled: %d/%d", len(e.queue), queued-1)
-		case <-time.After(time.Millisecond):
-		}
-	}
-	close(release)
+	waitFor(t, "the queue to fill", func() bool { return len(e.queue) >= queued-1 })
+	release()
 	wg.Wait()
 
 	serial := 0
@@ -173,11 +165,11 @@ func TestAdaptiveRespectsPinsAndCeiling(t *testing.T) {
 // only an actually admitted execution counts one miss.
 func TestCacheMissCountsOnlyAdmitted(t *testing.T) {
 	e := newTestEngine(t, Config{Workers: 2, QueueDepth: 8})
-	release := make(chan struct{})
+	gate, release := gateExecutions(t)
 	entered := make(chan struct{}, 16)
 	e.execGate = func(*Request) {
 		entered <- struct{}{}
-		<-release
+		<-gate
 	}
 
 	const callers = 5
@@ -193,15 +185,8 @@ func TestCacheMissCountsOnlyAdmitted(t *testing.T) {
 		}()
 	}
 	<-entered
-	deadline := time.After(5 * time.Second)
-	for e.metrics.Coalesced.Load() < callers-1 {
-		select {
-		case <-deadline:
-			t.Fatalf("only %d callers coalesced", e.metrics.Coalesced.Load())
-		case <-time.After(time.Millisecond):
-		}
-	}
-	close(release)
+	waitFor(t, "every caller to coalesce", func() bool { return e.metrics.Coalesced.Load() >= callers-1 })
+	release()
 	wg.Wait()
 
 	if got := e.metrics.CacheMisses.Load(); got != 1 {
@@ -220,11 +205,11 @@ func TestCacheMissCountsOnlyAdmitted(t *testing.T) {
 // checks the shed request leaves the miss counter untouched.
 func TestCacheMissNotCountedWhenShed(t *testing.T) {
 	e := newTestEngine(t, Config{Workers: 1, QueueDepth: 1})
-	release := make(chan struct{})
+	gate, release := gateExecutions(t)
 	entered := make(chan struct{}, 4)
 	e.execGate = func(*Request) {
 		entered <- struct{}{}
-		<-release
+		<-gate
 	}
 
 	done1 := make(chan error, 1)
@@ -239,14 +224,7 @@ func TestCacheMissNotCountedWhenShed(t *testing.T) {
 		_, err := e.Do(context.Background(), Request{Seed: 2})
 		done2 <- err
 	}()
-	deadline := time.After(5 * time.Second)
-	for len(e.queue) == 0 {
-		select {
-		case <-deadline:
-			t.Fatal("second query never queued")
-		case <-time.After(time.Millisecond):
-		}
-	}
+	waitFor(t, "the second query to queue", func() bool { return len(e.queue) > 0 })
 
 	if _, err := e.Do(context.Background(), Request{Seed: 3}); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("expected ErrOverloaded, got %v", err)
@@ -255,7 +233,7 @@ func TestCacheMissNotCountedWhenShed(t *testing.T) {
 		t.Fatalf("shed request changed the miss count: %d, want 2", got)
 	}
 
-	close(release)
+	release()
 	if err := <-done1; err != nil {
 		t.Fatal(err)
 	}

@@ -16,14 +16,7 @@ import (
 // worker can return its workspace slightly after callers observe completion.
 func waitForZeroWorkspaces(t *testing.T, e *Engine) {
 	t.Helper()
-	deadline := time.After(5 * time.Second)
-	for e.wsOut.Load() != 0 {
-		select {
-		case <-deadline:
-			t.Fatalf("workspaces still checked out: %d", e.wsOut.Load())
-		case <-time.After(time.Millisecond):
-		}
-	}
+	waitFor(t, "every workspace to be returned", func() bool { return e.wsOut.Load() == 0 })
 }
 
 // assertScoresEqual demands bit-identical score vectors — the batched serving
@@ -137,10 +130,10 @@ func TestServeBatchWindowGroupsQueries(t *testing.T) {
 func TestServeBatchCoalescingInteraction(t *testing.T) {
 	e := newTestEngine(t, Config{Workers: 1, BatchWindow: 5 * time.Second, BatchMaxK: 2})
 	entered := make(chan struct{}, 1)
-	release := make(chan struct{})
+	gate, release := gateExecutions(t)
 	e.execGate = func(*Request) {
 		entered <- struct{}{}
-		<-release
+		<-gate
 	}
 
 	type out struct {
@@ -160,15 +153,8 @@ func TestServeBatchCoalescingInteraction(t *testing.T) {
 	// An identical third query must coalesce onto seed 3's in-flight member
 	// rather than open a new batching group.
 	go do(3)
-	deadline := time.After(5 * time.Second)
-	for e.metrics.Coalesced.Load() == 0 {
-		select {
-		case <-deadline:
-			t.Fatal("duplicate query never coalesced onto the batched member")
-		case <-time.After(time.Millisecond):
-		}
-	}
-	close(release)
+	waitFor(t, "the duplicate query to coalesce onto the batched member", func() bool { return e.metrics.Coalesced.Load() > 0 })
+	release()
 
 	var coalesced int
 	for i := 0; i < 3; i++ {
@@ -222,14 +208,7 @@ func TestServeBatchMemberCanceledInWindow(t *testing.T) {
 	}
 	// Wait until the victim actually occupies the window before the second
 	// query fills the group.
-	deadline := time.After(5 * time.Second)
-	for e.Snapshot().BatchPending != 1 {
-		select {
-		case <-deadline:
-			t.Fatalf("victim never entered the batching window (pending=%d)", e.Snapshot().BatchPending)
-		case <-time.After(time.Millisecond):
-		}
-	}
+	waitFor(t, "the victim to enter the batching window", func() bool { return e.Snapshot().BatchPending == 1 })
 
 	resp, err := e.Do(context.Background(), Request{Seed: 7, Method: MethodTEA, Trace: true})
 	if err != nil {
@@ -268,12 +247,12 @@ func TestServeBatchMemberCanceledMidExecution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer e.Close()
+	t.Cleanup(func() { e.Close() })
 	entered := make(chan struct{}, 1)
-	release := make(chan struct{})
+	gate, release := gateExecutions(t)
 	e.execGate = func(*Request) {
 		entered <- struct{}{}
-		<-release
+		<-gate
 	}
 
 	victimCtx, cancelVictim := context.WithCancel(context.Background())
@@ -300,7 +279,7 @@ func TestServeBatchMemberCanceledMidExecution(t *testing.T) {
 	if err := <-victimErr; !errors.Is(err, context.Canceled) {
 		t.Fatalf("victim error = %v, want canceled", err)
 	}
-	close(release)
+	release()
 
 	resp := <-survivor
 	if resp == nil {
@@ -352,14 +331,7 @@ func TestServeBatchCloseFailsWindowedQueries(t *testing.T) {
 		_, err := e.Do(context.Background(), Request{Seed: 3, Method: MethodTEA})
 		errCh <- err
 	}()
-	deadline := time.After(5 * time.Second)
-	for e.Snapshot().BatchPending != 1 {
-		select {
-		case <-deadline:
-			t.Fatal("query never entered the batching window")
-		case <-time.After(time.Millisecond):
-		}
-	}
+	waitFor(t, "the query to enter the batching window", func() bool { return e.Snapshot().BatchPending == 1 })
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}

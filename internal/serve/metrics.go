@@ -234,16 +234,6 @@ type Metrics struct {
 	// including queries shed at admission and rejected after Close.
 	ErrorsByReason [numErrorReasons]atomic.Int64
 
-	// CachePeeks counts peer cache probes answered through Engine.Peek (the
-	// router tier's second-level cache-fill path); WarmFills counts peer
-	// responses installed through Engine.WarmCache; WarmRejectedStale counts
-	// peer fills rejected because they were computed against a superseded
-	// graph epoch.  Peeks and fills never touch CacheHits/CacheMisses, so the
-	// serving hit rate stays a pure client-traffic signal.
-	CachePeeks        atomic.Int64
-	WarmFills         atomic.Int64
-	WarmRejectedStale atomic.Int64
-
 	// DegradedStaleServed counts responses served from the stale arena under
 	// pressure (labeled Degraded == DegradedStale); DegradedClampedServed
 	// counts responses computed under a tier's reduced walk/sweep budget
@@ -351,14 +341,6 @@ type Snapshot struct {
 	CacheBytes    int64 `json:"cache_bytes"`
 	CacheCapacity int64 `json:"cache_capacity"`
 
-	// CachePeeks / WarmFills / WarmRejectedStale describe the peer cache-fill
-	// surface (Engine.Peek / Engine.WarmCache): probes answered, peer
-	// responses installed, and fills rejected for being computed against a
-	// superseded epoch.  All zero outside a router deployment.
-	CachePeeks        int64 `json:"cache_peeks"`
-	WarmFills         int64 `json:"warm_fills"`
-	WarmRejectedStale int64 `json:"warm_rejected_stale"`
-
 	// InvariantChecks totals the inline invariant evaluations across all
 	// executions; InvariantViolations maps each kind that has failed at
 	// least once to its count (empty on a healthy engine).
@@ -390,7 +372,7 @@ type Snapshot struct {
 	// PressureTier is the same tier as a machine-readable ordinal
 	// (0=nominal 1=elevated 2=overloaded 3=critical, -1 when the controller
 	// is disabled) and DrainEstimateMS the current Retry-After drain estimate
-	// in milliseconds — the two fields the router tier's health gossip reads
+	// in milliseconds, so monitoring and load-aware clients can read both
 	// from /stats without parsing label strings.
 	PressureTier    int     `json:"pressure_tier"`
 	DrainEstimateMS float64 `json:"drain_estimate_ms"`
@@ -458,9 +440,6 @@ func (e *Engine) Snapshot() Snapshot {
 		Abandoned:              m.Abandoned.Load(),
 		CacheHits:              m.CacheHits.Load(),
 		CacheMisses:            m.CacheMisses.Load(),
-		CachePeeks:             m.CachePeeks.Load(),
-		WarmFills:              m.WarmFills.Load(),
-		WarmRejectedStale:      m.WarmRejectedStale.Load(),
 		InvariantChecks:        m.InvariantChecks.Load(),
 		BatchExecutions:        m.BatchExecutions.Load(),
 		BatchedQueries:         m.BatchedQueries.Load(),
@@ -541,9 +520,6 @@ func (e *Engine) WritePrometheus(w io.Writer) {
 	counter("canceled_total", "Executions aborted by cancellation or deadline.", m.Canceled.Load())
 	counter("cache_hits_total", "Result-cache hits.", m.CacheHits.Load())
 	counter("cache_misses_total", "Result-cache misses.", m.CacheMisses.Load())
-	counter("cache_peeks_total", "Peer cache probes answered without execution (Engine.Peek).", m.CachePeeks.Load())
-	counter("warm_fills_total", "Peer-computed responses installed into the cache (Engine.WarmCache).", m.WarmFills.Load())
-	counter("warm_rejected_stale_total", "Peer cache fills rejected for a superseded graph epoch.", m.WarmRejectedStale.Load())
 	counter("coalesced_total", "Callers that shared an in-flight execution.", m.Coalesced.Load())
 	counter("shed_total", "Queries rejected by admission control.", m.Shed.Load())
 	counter("abandoned_total", "Callers that left before their query finished.", m.Abandoned.Load())

@@ -346,13 +346,16 @@ func TestServeSweepK(t *testing.T) {
 // queue_depth_ewma mirrors the live queue depth instead of reading 0.
 func TestSnapshotEWMAMirrorsQueueDepthWhenStatic(t *testing.T) {
 	e := newTestEngine(t, Config{Workers: 1, QueueDepth: 8})
-	release := make(chan struct{})
+	gate, release := gateExecutions(t)
 	started := make(chan struct{})
-	e.execGate = func(r *Request) {
-		if r.Seed == 0 {
+	var first sync.Once
+	// Gate whichever request the single worker dequeues first, so the other
+	// three stay queued behind it whatever order they were admitted in.
+	e.execGate = func(*Request) {
+		first.Do(func() {
 			close(started)
-			<-release
-		}
+			<-gate
+		})
 	}
 	var wg sync.WaitGroup
 	errs := make([]error, 4)
@@ -365,10 +368,7 @@ func TestSnapshotEWMAMirrorsQueueDepthWhenStatic(t *testing.T) {
 	}
 	<-started
 	// The blocker executes; the remaining requests pile up in the queue.
-	deadline := time.Now().Add(5 * time.Second)
-	for len(e.queue) < 3 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
+	waitFor(t, "3 queued tasks behind the gated execution", func() bool { return len(e.queue) == 3 })
 	s := e.Snapshot()
 	if s.QueueDepth == 0 {
 		t.Fatal("queue never filled")
@@ -388,7 +388,7 @@ func TestSnapshotEWMAMirrorsQueueDepthWhenStatic(t *testing.T) {
 			t.Fatal("queue_depth_ewma metric missing")
 		}
 	}
-	close(release)
+	release()
 	wg.Wait()
 	for i, err := range errs {
 		if err != nil {

@@ -349,12 +349,52 @@ func (e *Engine) observeAdmission(shed bool) {
 	}
 }
 
-// retryAfter estimates how long a shed caller should back off: the time for
-// the current backlog to drain through the workers at the measured mean
-// execution latency, clamped to the configured window (see
-// Engine.DrainEstimate in peer.go, which also exports the figure to /stats).
-func (e *Engine) retryAfter() time.Duration {
-	return e.DrainEstimate()
+// RetryAfterSeconds converts a drain estimate into the whole-seconds form an
+// HTTP Retry-After header carries: rounded up and floored at 1 second.  The
+// floor matters — under light load the drain estimate can be tens of
+// milliseconds, which integer-truncates to "Retry-After: 0" and reads to
+// clients as "retry immediately", defeating the backoff entirely.
+func RetryAfterSeconds(d time.Duration) int64 {
+	if d <= time.Second {
+		return 1
+	}
+	return int64((d + time.Second - 1) / time.Second)
+}
+
+// DrainEstimate reports how long a shed caller should back off right now: the
+// time for the current backlog to drain through the workers at the measured
+// mean execution latency, clamped to the configured Retry-After window.  It
+// is safe to call on an engine whose pressure controller is disabled (the
+// default clamp window applies).  Shed queries carry it as
+// OverloadedError.RetryAfter, and it is exported as Snapshot.DrainEstimateMS
+// and hkpr_serve_drain_estimate_seconds so operators and clients can read the
+// backlog without being shed first.
+func (e *Engine) DrainEstimate() time.Duration {
+	m := e.metrics
+	mean := retryAfterFallbackMean
+	if n := m.latency.count.Load(); n > 0 {
+		mean = time.Duration(m.latency.sum.Load() / n)
+		if mean <= 0 {
+			mean = retryAfterFallbackMean
+		}
+	}
+	depth := int64(len(e.queue))
+	if e.batch != nil {
+		depth += e.batch.pending.Load()
+	}
+	workers := int64(e.cfg.Workers)
+	est := time.Duration((depth + workers) / workers * int64(mean))
+	floor, ceil := defaultRetryAfterFloor, defaultRetryAfterCeil
+	if e.pressure != nil {
+		floor, ceil = e.pressure.cfg.RetryAfterFloor, e.pressure.cfg.RetryAfterCeil
+	}
+	if est < floor {
+		est = floor
+	}
+	if est > ceil {
+		est = ceil
+	}
+	return est
 }
 
 // OverloadedError is the shed error produced while the pressure controller is

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"strings"
 	"sync"
@@ -334,12 +335,13 @@ func TestStaleArenaInsideCacheBudget(t *testing.T) {
 // admitted before Drain all complete normally (none abandoned), new
 // admissions fail with ErrClosed, and the workspace pool is fully returned.
 func TestDrainFinishesAdmittedQueries(t *testing.T) {
-	release := make(chan struct{})
 	var gated atomic.Int64
-	e := newTestEngine(t, Config{Workers: 1, QueueDepth: 8, ExecGate: func(*Request) {
+	e := newTestEngine(t, Config{Workers: 1, QueueDepth: 8})
+	gate, release := gateExecutions(t)
+	e.execGate = func(*Request) {
 		gated.Add(1)
-		<-release
-	}})
+		<-gate
+	}
 	ctx := context.Background()
 
 	const n = 3
@@ -355,21 +357,17 @@ func TestDrainFinishesAdmittedQueries(t *testing.T) {
 	}
 	// Wait until all three are admitted (pending counts them) and the first
 	// is parked in the gate.
-	for e.pending.Load() < n || gated.Load() == 0 {
-		time.Sleep(time.Millisecond)
-	}
+	waitFor(t, "every query admitted and the first gated", func() bool { return e.pending.Load() >= n && gated.Load() > 0 })
 
 	drainErr := make(chan error, 1)
 	go func() { drainErr <- e.Drain(10 * time.Second) }()
 	// Admission is off while the backlog drains.
-	for !e.closedFast.Load() {
-		time.Sleep(time.Millisecond)
-	}
+	waitFor(t, "admission to close", func() bool { return e.closedFast.Load() })
 	if _, err := e.Do(ctx, Request{Seed: 1, Method: MethodTEA}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Do during drain = %v, want ErrClosed", err)
 	}
 
-	close(release)
+	release()
 	if err := <-drainErr; err != nil {
 		t.Fatalf("Drain = %v, want clean drain", err)
 	}
@@ -395,27 +393,26 @@ func TestDrainFinishesAdmittedQueries(t *testing.T) {
 // released only after the deadline fires (Close waits for the workers, so a
 // forever-stuck gate would deadlock the forced close itself).
 func TestDrainTimeoutAborts(t *testing.T) {
-	release := make(chan struct{})
 	var gated atomic.Int64
-	e := newTestEngine(t, Config{Workers: 1, ExecGate: func(*Request) {
+	e := newTestEngine(t, Config{Workers: 1})
+	gate, release := gateExecutions(t)
+	e.execGate = func(*Request) {
 		gated.Add(1)
-		<-release
-	}})
+		<-gate
+	}
 
 	done := make(chan error, 1)
 	go func() {
 		_, err := e.Do(context.Background(), Request{Seed: 9, Method: MethodTEA})
 		done <- err
 	}()
-	for gated.Load() == 0 {
-		time.Sleep(time.Millisecond)
-	}
+	waitFor(t, "the gated execution", func() bool { return gated.Load() > 0 })
 	drainErr := make(chan error, 1)
 	go func() { drainErr <- e.Drain(20 * time.Millisecond) }()
 	// Let the deadline pass while the execution is still parked, then unstick
 	// it so the forced Close can reap the worker.
 	time.Sleep(60 * time.Millisecond)
-	close(release)
+	release()
 	err := <-drainErr
 	if err == nil || errors.Is(err, ErrClosed) {
 		t.Fatalf("Drain with a stuck execution = %v, want timeout error", err)
@@ -431,11 +428,9 @@ func TestDrainTimeoutAborts(t *testing.T) {
 // ErrOverloaded with it disabled.
 func TestOverloadedErrorRetryAfter(t *testing.T) {
 	run := func(t *testing.T, cfg Config, wantHint bool) {
-		release := make(chan struct{})
-		var unstick sync.Once
-		cfg.ExecGate = func(*Request) { <-release }
 		e := newTestEngine(t, cfg)
-		t.Cleanup(func() { unstick.Do(func() { close(release) }) })
+		gate, release := gateExecutions(t)
+		e.execGate = func(*Request) { <-gate }
 		ctx := context.Background()
 
 		var shedErr error
@@ -480,7 +475,7 @@ func TestOverloadedErrorRetryAfter(t *testing.T) {
 		} else if errors.As(err, &oe) {
 			t.Fatalf("disabled controller still produced %T", err)
 		}
-		unstick.Do(func() { close(release) })
+		release()
 		wg.Wait()
 	}
 	t.Run("controller", func(t *testing.T) {
@@ -519,12 +514,13 @@ func TestErrorTaxonomy(t *testing.T) {
 
 	// canceled + timeout: queries queued behind a gated execution whose
 	// contexts die before a worker reaches them.
-	release := make(chan struct{})
 	var gated atomic.Int64
-	e := newTestEngine(t, Config{Workers: 1, QueueDepth: 8, ExecGate: func(*Request) {
+	e := newTestEngine(t, Config{Workers: 1, QueueDepth: 8})
+	gate, release := gateExecutions(t)
+	e.execGate = func(*Request) {
 		gated.Add(1)
-		<-release
-	}})
+		<-gate
+	}
 	ctx := context.Background()
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -532,9 +528,7 @@ func TestErrorTaxonomy(t *testing.T) {
 		defer wg.Done()
 		e.Do(ctx, Request{Seed: 50, Method: MethodTEA, NoCache: true})
 	}()
-	for gated.Load() == 0 {
-		time.Sleep(time.Millisecond)
-	}
+	waitFor(t, "the gated execution", func() bool { return gated.Load() > 0 })
 	cctx, cancel := context.WithCancel(ctx)
 	cancel()
 	if _, err := e.Do(cctx, Request{Seed: 51, Method: MethodTEA}); !errors.Is(err, context.Canceled) {
@@ -545,19 +539,13 @@ func TestErrorTaxonomy(t *testing.T) {
 	if _, err := e.Do(tctx, Request{Seed: 52, Method: MethodTEA}); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("deadlined query err = %v", err)
 	}
-	close(release)
+	release()
 	wg.Wait()
 	// The queued victims are counted when a worker reaps them.
-	deadline := time.Now().Add(5 * time.Second)
-	for e.metrics.ErrorsByReason[reasonCanceled].Load() < 1 ||
-		e.metrics.ErrorsByReason[reasonTimeout].Load() < 1 {
-		if time.Now().After(deadline) {
-			t.Fatalf("taxonomy counters never settled: canceled=%d timeout=%d",
-				e.metrics.ErrorsByReason[reasonCanceled].Load(),
-				e.metrics.ErrorsByReason[reasonTimeout].Load())
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitFor(t, "the canceled and timeout taxonomy counters", func() bool {
+		return e.metrics.ErrorsByReason[reasonCanceled].Load() >= 1 &&
+			e.metrics.ErrorsByReason[reasonTimeout].Load() >= 1
+	})
 
 	// closed.
 	e.Close()
@@ -658,9 +646,13 @@ func TestUpdateRaceNeverServesUnlabeledStale(t *testing.T) {
 				switch resp.Degraded {
 				case DegradedStale:
 					// A stale serve is legal under pressure — but only
-					// labeled, and always older than the published epoch.
-					if resp.Epoch >= lastPublished.Load() && lastPublished.Load() > 0 {
-						t.Errorf("stale response epoch %d not behind published %d", resp.Epoch, lastPublished.Load())
+					// labeled, and always older than the graph's epoch once
+					// the response is out.  lastPublished cannot bound it:
+					// the writer stores it only after ApplyUpdates returns,
+					// while readers can already be served the entries that
+					// update parked.
+					if now := e.Graph().Epoch(); resp.Epoch >= now {
+						t.Errorf("stale response epoch %d not behind published %d", resp.Epoch, now)
 						return
 					}
 				case "":
@@ -681,5 +673,85 @@ func TestUpdateRaceNeverServesUnlabeledStale(t *testing.T) {
 	writers.Wait()
 	if e.metrics.InvariantChecks.Load() == 0 {
 		t.Fatal("no executions happened")
+	}
+}
+
+func TestRetryAfterSecondsFloorsAtOne(t *testing.T) {
+	cases := []struct {
+		d    time.Duration
+		want int64
+	}{
+		{0, 1},
+		{-time.Second, 1},
+		{time.Millisecond, 1},               // light-load estimate: would truncate to 0
+		{999 * time.Millisecond, 1},         //
+		{time.Second, 1},                    // exact boundary
+		{time.Second + time.Millisecond, 2}, // just past: rounds up
+		{2500 * time.Millisecond, 3},
+		{5 * time.Second, 5},
+	}
+	for _, c := range cases {
+		if got := RetryAfterSeconds(c.d); got != c.want {
+			t.Errorf("RetryAfterSeconds(%v) = %d, want %d", c.d, got, c.want)
+		}
+	}
+}
+
+func TestDrainEstimateWithoutPressureController(t *testing.T) {
+	e := newTestEngine(t, Config{Workers: 2, Pressure: PressureConfig{Disabled: true}})
+	// Must not panic (the controller is nil) and must respect the default
+	// clamp window.
+	d := e.DrainEstimate()
+	if d < defaultRetryAfterFloor || d > defaultRetryAfterCeil {
+		t.Fatalf("DrainEstimate = %v, want within [%v, %v]", d, defaultRetryAfterFloor, defaultRetryAfterCeil)
+	}
+}
+
+// TestStatsSchemaMachineReadablePressure asserts the machine-readable
+// pressure fields of the /stats JSON schema: a numeric pressure tier and a
+// drain estimate in milliseconds, with the tier reading -1 when the
+// controller is disabled; and that the matching Prometheus families validate.
+func TestStatsSchemaMachineReadablePressure(t *testing.T) {
+	e := newTestEngine(t, Config{Workers: 2})
+	if _, err := e.Do(context.Background(), Request{Seed: 17}); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := json.Marshal(e.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fields map[string]any
+	if err := json.Unmarshal(raw, &fields); err != nil {
+		t.Fatal(err)
+	}
+	tier, ok := fields["pressure_tier"].(float64)
+	if !ok {
+		t.Fatalf("pressure_tier missing or non-numeric in %s", raw)
+	}
+	if tier < 0 || tier > 3 {
+		t.Fatalf("pressure_tier = %g, want 0..3 with the controller enabled", tier)
+	}
+	drain, ok := fields["drain_estimate_ms"].(float64)
+	if !ok {
+		t.Fatalf("drain_estimate_ms missing or non-numeric in %s", raw)
+	}
+	if drain <= 0 {
+		t.Fatalf("drain_estimate_ms = %g, want > 0 (clamped to the floor)", drain)
+	}
+	off := newTestEngine(t, Config{Workers: 2, Pressure: PressureConfig{Disabled: true}})
+	if off.Snapshot().PressureTier != -1 {
+		t.Fatalf("disabled controller: pressure_tier = %d, want -1", off.Snapshot().PressureTier)
+	}
+
+	var buf bytes.Buffer
+	e.WritePrometheus(&buf)
+	text := buf.String()
+	for _, family := range []string{"hkpr_serve_drain_estimate_seconds", "hkpr_serve_pressure_level"} {
+		if !strings.Contains(text, family) {
+			t.Fatalf("Prometheus exposition missing %s", family)
+		}
+	}
+	if err := promtext.Validate(strings.NewReader(text)); err != nil {
+		t.Fatalf("Prometheus exposition invalid: %v", err)
 	}
 }

@@ -787,7 +787,7 @@ func (e *Engine) Do(ctx context.Context, req Request) (*Response, error) {
 		if e.pressure != nil {
 			// Retry-After from the controller's drain estimate; errors.Is
 			// against ErrOverloaded still matches.
-			return nil, &OverloadedError{RetryAfter: e.retryAfter()}
+			return nil, &OverloadedError{RetryAfter: e.DrainEstimate()}
 		}
 		return nil, ErrOverloaded
 	}
@@ -800,14 +800,14 @@ func (e *Engine) Do(ctx context.Context, req Request) (*Response, error) {
 // a time per entry).  Returns ok == false when the key has no parked entry.
 func (e *Engine) serveStale(key string, req Request, reqStart time.Time) (*Response, bool) {
 	lookupStart := time.Now()
-	ent, ok := e.stale.get(key)
+	ent, parked, ok := e.stale.get(key)
 	lookupD := time.Since(lookupStart)
 	if !ok {
 		return nil, false
 	}
 	e.metrics.observeStage(trace.StageCacheLookup, lookupD)
 	e.metrics.DegradedStaleServed.Add(1)
-	out := *ent.resp
+	out := *parked
 	out.Cached = true
 	out.Degraded = DegradedStale
 	out.QueueWait, out.Elapsed = 0, 0

@@ -47,6 +47,33 @@ func newTestEngine(t testing.TB, cfg Config) *Engine {
 	return e
 }
 
+// gateExecutions returns the channel gated executions wait on and an
+// idempotent release that opens it.  The release is also registered with
+// t.Cleanup; call it after newTestEngine.  Cleanups run last-in first-out, so
+// the gate opens before the engine's Close waits for the gated worker, and a
+// test that fails before its own release fails fast instead of hanging the
+// package.
+func gateExecutions(t testing.TB) (gate <-chan struct{}, release func()) {
+	ch := make(chan struct{})
+	var once sync.Once
+	release = func() { once.Do(func() { close(ch) }) }
+	t.Cleanup(release)
+	return ch, release
+}
+
+// waitFor polls cond every millisecond and fails the test if it still does
+// not hold after 5 seconds.  A passing wait returns as soon as cond holds.
+func waitFor(t testing.TB, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 func TestEngineMatchesDirectEstimator(t *testing.T) {
 	g := testGraph(t)
 	est := testEstimator(t, g)
@@ -114,11 +141,11 @@ func TestCacheHit(t *testing.T) {
 // issue's acceptance criteria.
 func TestCoalescing(t *testing.T) {
 	e := newTestEngine(t, Config{Workers: 2, QueueDepth: 8})
-	release := make(chan struct{})
+	gate, release := gateExecutions(t)
 	entered := make(chan struct{}, 16)
 	e.execGate = func(*Request) {
 		entered <- struct{}{}
-		<-release
+		<-gate
 	}
 
 	const callers = 6
@@ -137,15 +164,8 @@ func TestCoalescing(t *testing.T) {
 	// Wait for the first caller to reach the estimator, then for the other
 	// callers to attach to its flight entry.
 	<-entered
-	deadline := time.After(5 * time.Second)
-	for e.metrics.Coalesced.Load() < callers-1 {
-		select {
-		case <-deadline:
-			t.Fatalf("only %d callers coalesced", e.metrics.Coalesced.Load())
-		case <-time.After(time.Millisecond):
-		}
-	}
-	close(release)
+	waitFor(t, "every caller to coalesce", func() bool { return e.metrics.Coalesced.Load() >= callers-1 })
+	release()
 	wg.Wait()
 
 	for i := 0; i < callers; i++ {
@@ -172,11 +192,11 @@ func TestCoalescing(t *testing.T) {
 
 func TestAdmissionShedding(t *testing.T) {
 	e := newTestEngine(t, Config{Workers: 1, QueueDepth: 1, CacheBytes: -1})
-	release := make(chan struct{})
+	gate, release := gateExecutions(t)
 	entered := make(chan struct{}, 4)
 	e.execGate = func(*Request) {
 		entered <- struct{}{}
-		<-release
+		<-gate
 	}
 
 	// First query occupies the worker…
@@ -193,9 +213,7 @@ func TestAdmissionShedding(t *testing.T) {
 		_, err := e.Do(context.Background(), Request{Seed: 2})
 		done2 <- err
 	}()
-	for len(e.queue) == 0 {
-		time.Sleep(time.Millisecond)
-	}
+	waitFor(t, "a queued task", func() bool { return len(e.queue) > 0 })
 
 	// …third must be shed immediately.
 	if _, err := e.Do(context.Background(), Request{Seed: 3}); !errors.Is(err, ErrOverloaded) {
@@ -205,7 +223,7 @@ func TestAdmissionShedding(t *testing.T) {
 		t.Fatalf("shed=%d, want 1", got)
 	}
 
-	close(release)
+	release()
 	if err := <-done1; err != nil {
 		t.Fatal(err)
 	}
@@ -237,14 +255,7 @@ func TestCancelLongQuery(t *testing.T) {
 	}
 	// The worker records the cancellation just after the caller is released;
 	// poll briefly rather than racing it.
-	deadline := time.After(5 * time.Second)
-	for e.metrics.Canceled.Load() == 0 {
-		select {
-		case <-deadline:
-			t.Fatalf("canceled=%d, want 1", e.metrics.Canceled.Load())
-		case <-time.After(time.Millisecond):
-		}
-	}
+	waitFor(t, "the cancellation to be recorded", func() bool { return e.metrics.Canceled.Load() > 0 })
 
 	// The engine must stay healthy after a canceled query.
 	if _, err := e.Do(context.Background(), Request{Seed: 5}); err != nil {
@@ -254,11 +265,11 @@ func TestCancelLongQuery(t *testing.T) {
 
 func TestCancelWhileQueued(t *testing.T) {
 	e := newTestEngine(t, Config{Workers: 1, QueueDepth: 2, CacheBytes: -1})
-	release := make(chan struct{})
+	gate, release := gateExecutions(t)
 	entered := make(chan struct{}, 4)
 	e.execGate = func(*Request) {
 		entered <- struct{}{}
-		<-release
+		<-gate
 	}
 
 	go e.Do(context.Background(), Request{Seed: 1}) //nolint:errcheck
@@ -270,23 +281,14 @@ func TestCancelWhileQueued(t *testing.T) {
 		_, err := e.Do(ctx, Request{Seed: 2})
 		done <- err
 	}()
-	for len(e.queue) == 0 {
-		time.Sleep(time.Millisecond)
-	}
+	waitFor(t, "a queued task", func() bool { return len(e.queue) > 0 })
 	cancel()
 	if err := <-done; !errors.Is(err, context.Canceled) {
 		t.Fatalf("expected context.Canceled, got %v", err)
 	}
-	close(release)
+	release()
 	// The worker must skip the abandoned task without executing it.
-	deadline := time.After(5 * time.Second)
-	for e.metrics.Completed.Load() < 2 {
-		select {
-		case <-deadline:
-			t.Fatal("queued task never retired")
-		case <-time.After(time.Millisecond):
-		}
-	}
+	waitFor(t, "the queued task to retire", func() bool { return e.metrics.Completed.Load() >= 2 })
 	if got := e.metrics.Executions.Load(); got != 1 {
 		t.Fatalf("abandoned queued task was executed (executions=%d)", got)
 	}
@@ -298,11 +300,11 @@ func TestCancelWhileQueued(t *testing.T) {
 // than inherit the cancellation.
 func TestAbandonedTaskNotJoined(t *testing.T) {
 	e := newTestEngine(t, Config{Workers: 1, QueueDepth: 4})
-	release := make(chan struct{})
+	gate, release := gateExecutions(t)
 	entered := make(chan struct{}, 4)
 	e.execGate = func(*Request) {
 		entered <- struct{}{}
-		<-release
+		<-gate
 	}
 
 	// Occupy the only worker with an unrelated query.
@@ -316,9 +318,7 @@ func TestAbandonedTaskNotJoined(t *testing.T) {
 		_, err := e.Do(ctxA, Request{Seed: 50})
 		doneA <- err
 	}()
-	for len(e.queue) == 0 {
-		time.Sleep(time.Millisecond)
-	}
+	waitFor(t, "a queued task", func() bool { return len(e.queue) > 0 })
 	cancelA()
 	if err := <-doneA; !errors.Is(err, context.Canceled) {
 		t.Fatalf("abandoning caller: %v", err)
@@ -331,7 +331,7 @@ func TestAbandonedTaskNotJoined(t *testing.T) {
 		doneB <- err
 	}()
 	time.Sleep(10 * time.Millisecond)
-	close(release)
+	release()
 	if err := <-doneB; err != nil {
 		t.Fatalf("live caller inherited abandoned cancellation: %v", err)
 	}
@@ -414,12 +414,12 @@ func TestCloseDrainsAndRejects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	release := make(chan struct{})
+	gate, release := gateExecutions(t)
 	entered := make(chan struct{}, 2)
 	e.execGate = func(*Request) {
 		entered <- struct{}{}
 		select {
-		case <-release:
+		case <-gate:
 		case <-time.After(5 * time.Second):
 		}
 	}
@@ -430,15 +430,13 @@ func TestCloseDrainsAndRejects(t *testing.T) {
 		_, err := e.Do(context.Background(), Request{Seed: 2, NoCache: true})
 		queued <- err
 	}()
-	for len(e.queue) == 0 {
-		time.Sleep(time.Millisecond)
-	}
+	waitFor(t, "a queued task", func() bool { return len(e.queue) > 0 })
 	closeDone := make(chan struct{})
 	go func() { e.Close(); close(closeDone) }()
 	// Release the gated execution only after Close has canceled the engine
 	// context, so the queued task cannot sneak through a still-live worker.
 	<-e.baseCtx.Done()
-	close(release)
+	release()
 	<-closeDone
 	if err := <-queued; !errors.Is(err, ErrClosed) && !errors.Is(err, context.Canceled) {
 		t.Fatalf("queued query after close: %v", err)

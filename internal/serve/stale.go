@@ -82,17 +82,20 @@ func (a *staleArena) put(key string, resp *Response, cost int64) {
 	}
 }
 
-// get returns the parked entry for key, promoting it to most recent.  The
-// entry (and its Response) stays shared — serve it zero-copy and read-only.
-func (a *staleArena) get(key string) (*staleEntry, bool) {
+// get returns the parked entry for key and its response, promoting it to
+// most recent.  The response is read under the lock because put may swap a
+// newer one into the same entry; it stays shared — serve it zero-copy and
+// read-only.
+func (a *staleArena) get(key string) (*staleEntry, *Response, bool) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	el, ok := a.items[key]
 	if !ok {
-		return nil, false
+		return nil, nil, false
 	}
 	a.ll.MoveToFront(el)
-	return el.Value.(*staleEntry), true
+	ent := el.Value.(*staleEntry)
+	return ent, ent.resp, true
 }
 
 // remove drops key's entry if it is still the given one (a concurrent update

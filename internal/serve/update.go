@@ -80,17 +80,16 @@ func (e *Engine) ApplyUpdates(batch graph.UpdateBatch) (UpdateResult, error) {
 
 	invStart := time.Now()
 	var invalidated int64
-	var ball map[graph.NodeID]struct{}
+	var affected int
 	if e.cache != nil {
 		// BFS on the NEW snapshot: added edges must conduct (their endpoints'
 		// new neighborhoods are reachable), and removed edges' endpoints are
 		// seeded directly so their former neighborhoods are covered too.
-		ball = affectedBall(snap, batch, e.cfg.InvalidateRadius)
-		if len(ball) > 0 {
-			pred := func(r *Response) bool {
-				_, in := ball[r.Seed]
-				return in
-			}
+		var in []bool
+		in, affected = affectedBall(snap, batch, e.cfg.InvalidateRadius)
+		if affected > 0 {
+			// Node counts never shrink, so every cached seed indexes in.
+			pred := func(r *Response) bool { return in[r.Seed] }
 			if e.stale != nil {
 				// Radius-invalidated entries migrate into the stale arena
 				// (same key, same shared Response, same exact byte cost)
@@ -120,26 +119,27 @@ func (e *Engine) ApplyUpdates(batch graph.UpdateBatch) (UpdateResult, error) {
 		AddedNodes:   batch.AddNodes,
 		AddedEdges:   len(batch.AddEdges),
 		RemovedEdges: len(batch.RemoveEdges),
-		Affected:     len(ball),
+		Affected:     affected,
 		Invalidated:  invalidated,
 		Elapsed:      time.Since(start),
 	}, nil
 }
 
-// affectedBall returns the set of nodes within radius hops (BFS on s) of any
-// endpoint of the batch's added or removed edges.  Radius 0 is just the
-// endpoints themselves.
-func affectedBall(s *graph.Snapshot, batch graph.UpdateBatch, radius int) map[graph.NodeID]struct{} {
-	ball := make(map[graph.NodeID]struct{}, 16*(len(batch.AddEdges)+len(batch.RemoveEdges)))
+// affectedBall returns the nodes within radius hops (BFS on s) of any endpoint
+// of the batch's added or removed edges, as a dense membership slice of
+// length s.N() plus its member count.  Radius 0 is just the endpoints
+// themselves.  A 2-hop ball on a power-law graph can cover a large share of
+// the nodes, so membership is a flat slice rather than a hash set.
+func affectedBall(s *graph.Snapshot, batch graph.UpdateBatch, radius int) (in []bool, size int) {
+	in = make([]bool, s.N())
 	var frontier []graph.NodeID
 	seed := func(v graph.NodeID) {
-		if v < 0 || int(v) >= s.N() {
+		if v < 0 || int(v) >= len(in) || in[v] {
 			return
 		}
-		if _, ok := ball[v]; !ok {
-			ball[v] = struct{}{}
-			frontier = append(frontier, v)
-		}
+		in[v] = true
+		size++
+		frontier = append(frontier, v)
 	}
 	for _, edge := range batch.AddEdges {
 		seed(edge[0])
@@ -153,13 +153,14 @@ func affectedBall(s *graph.Snapshot, batch graph.UpdateBatch, radius int) map[gr
 		var next []graph.NodeID
 		for _, v := range frontier {
 			for _, u := range s.Neighbors(v) {
-				if _, ok := ball[u]; !ok {
-					ball[u] = struct{}{}
+				if !in[u] {
+					in[u] = true
+					size++
 					next = append(next, u)
 				}
 			}
 		}
 		frontier = next
 	}
-	return ball
+	return in, size
 }

@@ -3,9 +3,12 @@ package serve
 import (
 	"context"
 	"errors"
+	"fmt"
+	"slices"
 	"testing"
 
 	"hkpr/internal/core"
+	"hkpr/internal/gen"
 	"hkpr/internal/graph"
 )
 
@@ -205,5 +208,133 @@ func TestStaleEpochCacheGuard(t *testing.T) {
 	}
 	if again.Epoch != 1 {
 		t.Fatalf("repeat query's epoch = %d, want 1", again.Epoch)
+	}
+}
+
+// bfsBallOracle marks every node whose BFS distance on s from some endpoint
+// of the batch's edges is at most radius, running one independent
+// single-source BFS per endpoint.
+func bfsBallOracle(s *graph.Snapshot, batch graph.UpdateBatch, radius int) []bool {
+	in := make([]bool, s.N())
+	var endpoints []graph.NodeID
+	for _, e := range slices.Concat(batch.AddEdges, batch.RemoveEdges) {
+		endpoints = append(endpoints, e[0], e[1])
+	}
+	for _, src := range endpoints {
+		dist := make([]int, s.N())
+		for i := range dist {
+			dist[i] = -1
+		}
+		dist[src] = 0
+		queue := []graph.NodeID{src}
+		for len(queue) > 0 {
+			v := queue[0]
+			queue = queue[1:]
+			for _, u := range s.Neighbors(v) {
+				if dist[u] < 0 {
+					dist[u] = dist[v] + 1
+					queue = append(queue, u)
+				}
+			}
+		}
+		for v, d := range dist {
+			if d >= 0 && d <= radius {
+				in[v] = true
+			}
+		}
+	}
+	return in
+}
+
+// TestAffectedBallMatchesBFSOracle checks the radius-invalidation ball, the
+// reported UpdateResult.Affected and the set of invalidated cache entries
+// against an independent BFS-distance oracle, for added edges, removed edges
+// and edges to freshly added nodes.
+func TestAffectedBallMatchesBFSOracle(t *testing.T) {
+	g, err := gen.PowerlawCluster(300, 3, 0.3, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := graph.NodeID(g.N())
+	nbrs := g.Neighbors(5)
+	far := graph.NodeID(0)
+	for g.HasEdge(7, far) || far == 7 {
+		far++
+	}
+	cases := []struct {
+		name  string
+		batch graph.UpdateBatch
+	}{
+		{"add", graph.UpdateBatch{AddEdges: [][2]graph.NodeID{{7, far}}}},
+		{"remove", graph.UpdateBatch{RemoveEdges: [][2]graph.NodeID{{5, nbrs[0]}, {5, nbrs[1]}}}},
+		{"add-nodes", graph.UpdateBatch{AddNodes: 2, AddEdges: [][2]graph.NodeID{{n, 11}, {n + 1, n}}}},
+		{"mixed", graph.UpdateBatch{
+			AddNodes:    1,
+			AddEdges:    [][2]graph.NodeID{{n, 42}, {7, far}},
+			RemoveEdges: [][2]graph.NodeID{{5, nbrs[0]}},
+		}},
+	}
+	for _, c := range cases {
+		batch := c.batch
+		for radius := 0; radius <= 2; radius++ {
+			t.Run(fmt.Sprintf("%s/r=%d", c.name, radius), func(t *testing.T) {
+				d := graph.NewDynamic(g, graph.DynamicOptions{CompactThreshold: -1})
+				snap, err := d.ApplyUpdates(batch)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := bfsBallOracle(snap, batch, radius)
+				got, size := affectedBall(snap, batch, radius)
+				if !slices.Equal(got, want) {
+					t.Fatalf("ball differs from the BFS oracle")
+				}
+				wantSize := 0
+				for _, in := range want {
+					if in {
+						wantSize++
+					}
+				}
+				if size != wantSize {
+					t.Fatalf("size = %d, oracle %d", size, wantSize)
+				}
+				if radius == 0 {
+					return // the engine clamps radius 0 to the default
+				}
+
+				// Engine level: Affected and exactly the in-ball cached
+				// seeds are invalidated; every other entry keeps hitting.
+				d = graph.NewDynamic(g, graph.DynamicOptions{CompactThreshold: -1})
+				e := dynamicTestEngine(t, d, Config{Workers: 1, InvalidateRadius: radius})
+				ctx := context.Background()
+				for s := graph.NodeID(0); s < n; s += 7 {
+					if _, err := e.Do(ctx, Request{Seed: s, Method: MethodTEA}); err != nil {
+						t.Fatal(err)
+					}
+				}
+				res, err := e.ApplyUpdates(batch)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Affected != wantSize {
+					t.Fatalf("Affected = %d, oracle %d", res.Affected, wantSize)
+				}
+				var wantInvalidated int64
+				for s := graph.NodeID(0); s < n; s += 7 {
+					if want[s] {
+						wantInvalidated++
+					}
+					r, err := e.Do(ctx, Request{Seed: s, Method: MethodTEA})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if r.Cached == want[s] {
+						t.Fatalf("seed %d: cached=%v after the update, in ball=%v", s, r.Cached, want[s])
+					}
+				}
+				if res.Invalidated != wantInvalidated {
+					t.Fatalf("Invalidated = %d, oracle %d", res.Invalidated, wantInvalidated)
+				}
+			})
+		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"testing"
-	"time"
 
 	"hkpr/internal/core"
 )
@@ -162,10 +161,10 @@ func TestCancellationReturnsWorkspace(t *testing.T) {
 	// the estimator starts on a canceled context and unwinds through the
 	// workspace checkout deterministically.
 	entered := make(chan struct{})
-	release := make(chan struct{})
+	gate, release := gateExecutions(t)
 	e.execGate = func(*Request) {
 		close(entered)
-		<-release
+		<-gate
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	errCh := make(chan error, 1)
@@ -178,21 +177,14 @@ func TestCancellationReturnsWorkspace(t *testing.T) {
 	}()
 	<-entered
 	cancel()
-	close(release)
+	release()
 	if err := <-errCh; !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("expected cancellation, got %v", err)
 	}
 	e.execGate = nil
 	// The worker returns the workspace after the estimator unwinds; poll
 	// briefly since the caller can observe the error first.
-	deadline := time.After(5 * time.Second)
-	for e.wsOut.Load() != 0 {
-		select {
-		case <-deadline:
-			t.Fatalf("workspaces still checked out after cancellation: %d", e.wsOut.Load())
-		case <-time.After(time.Millisecond):
-		}
-	}
+	waitForZeroWorkspaces(t, e)
 	if snap := e.Snapshot(); snap.WorkspacesInUse != 0 {
 		t.Fatalf("snapshot reports %d workspaces in use", snap.WorkspacesInUse)
 	}
